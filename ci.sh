@@ -53,10 +53,11 @@
 #                       through the real couplink-node mesh: payload
 #                       throughput, writev coalescing and tx/rx frame
 #                       conservation, gated against
-#                       baselines/BENCH_baseline_net.json and a 2x legacy
-#                       speedup floor; plus a negative test proving the
-#                       syscalls-per-frame gate rejects the legacy
-#                       per-frame write path)
+#                       baselines/BENCH_baseline_net.json, a 2x legacy
+#                       speedup floor and a 0.9 tx-buffer-pool hit floor
+#                       on the 2 MiB UDS point; plus a negative test
+#                       proving the syscalls-per-frame gate rejects the
+#                       legacy per-frame write path)
 #
 # Nightly-only extras (run when CI_NIGHTLY=1, skipped gracefully otherwise):
 #   - deep simtest sweep and a deeper DES-vs-threaded property sweep
@@ -161,7 +162,7 @@ echo "== durable: corrupted journal must be refused at restart"
 COUPLINK_NODE_BIN=target/release/couplink-node \
     cargo run --release -q -p couplink-simtest -- --socket uds --corrupt-wal
 
-echo "== net smoke: socket data-plane sweep under the coalescing + speedup gates"
+echo "== net smoke: socket data-plane sweep under the coalescing, speedup and pool gates"
 COUPLINK_NODE_BIN=target/release/couplink-node \
     cargo run --release -q -p couplink-bench --bin net -- \
     --smoke --out results/BENCH_net_smoke.json \

@@ -13,7 +13,7 @@
 //! `--check` baseline diff, throughput and syscall figures under `wall_s`
 //! (informational, never baseline-gated).
 //!
-//! Two gates with teeth:
+//! Three gates with teeth:
 //!
 //! * **syscalls-per-frame** — on the designated *load* points (many small
 //!   frames from many ranks bunching on few mesh links) the vectored
@@ -26,6 +26,12 @@
 //!   bytewise crc32 and per-frame `write` calls). Best-of-two payload
 //!   throughput on the new path must be at least [`SPEEDUP_MIN`]× the
 //!   legacy path.
+//!
+//! * **pool engagement** — on the largest UDS payload point (default
+//!   sweep only) the tx buffer pool must serve at least
+//!   [`POOL_HIT_FRAC_MIN`] of its takes from recycled buffers,
+//!   `net_pool_hits / (net_pool_hits + net_pool_misses)`. A pool that
+//!   shelves buffers where `take` never looks reads 0.
 //!
 //! `--mutate` runs the *whole* sweep with the legacy environment: the
 //! per-frame writes must then trip the syscalls-per-frame gate, proving
@@ -53,6 +59,11 @@ const SYSCALLS_PER_FRAME_MAX: f64 = 0.5;
 /// faster than the legacy per-element/per-frame path on the largest UDS
 /// sweep point.
 const SPEEDUP_MIN: f64 = 2.0;
+
+/// Share of tx buffer takes the pool must serve from recycled buffers on
+/// the largest UDS payload point: every frame there is the same size, so
+/// only the first few per sending process may miss.
+const POOL_HIT_FRAC_MIN: f64 = 0.9;
 
 struct Options {
     full: bool,
@@ -375,6 +386,20 @@ fn main() -> ExitCode {
         let mut m = measure(&pt, &run);
 
         if pt.speedup_gate && !opts.mutate {
+            let c = &run.counters;
+            let takes = c.net_pool_hits + c.net_pool_misses;
+            let hit_frac = c.net_pool_hits as f64 / takes.max(1) as f64;
+            println!(
+                "  pool: {} hits / {takes} takes ({hit_frac:.3})",
+                c.net_pool_hits
+            );
+            if hit_frac < POOL_HIT_FRAC_MIN {
+                violations.push(format!(
+                    "{}: tx buffer pool served only {hit_frac:.3} of {takes} takes \
+                     (need {POOL_HIT_FRAC_MIN})",
+                    pt.name
+                ));
+            }
             // Best-of-two on each codec: the run above plus one more on
             // the new path, two on the legacy path. Best-of damps the
             // worst of CI noise without hiding a real regression.

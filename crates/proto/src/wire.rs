@@ -138,8 +138,10 @@ pub fn legacy_codec() -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3): slice-by-8 with const-built tables, plus the
-// byte-at-a-time reference both the proptests and legacy mode use.
+// CRC-32 (IEEE 802.3): a carry-less-multiply folding kernel on x86_64 CPUs
+// with PCLMULQDQ, slice-by-8 with const-built tables everywhere else and
+// for short inputs and tails, plus the byte-at-a-time reference both the
+// proptests and legacy mode use.
 // ---------------------------------------------------------------------------
 
 /// Number of slice-by-N tables (8 input bytes folded per step).
@@ -180,10 +182,32 @@ const fn crc32_tables() -> [[u32; 256]; CRC_SLICES] {
 static CRC_TABLES: [[u32; 256]; CRC_SLICES] = crc32_tables();
 
 /// CRC-32 (IEEE) of `bytes` — the checksum carried in every frame header.
-/// Slice-by-8: eight input bytes folded per table lookup round.
+///
+/// Inputs of at least 64 bytes on an x86_64 CPU with PCLMULQDQ
+/// fold their 16-byte-multiple prefix through the carry-less-multiply
+/// kernel and finish the 0–15 byte tail with slice-by-8; everything else
+/// is slice-by-8 throughout. The value is the same on every path.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= clmul::CLMUL_MIN && clmul::available() {
+        let split = bytes.len() & !15;
+        // SAFETY: `available()` just confirmed the CPU supports the
+        // `pclmulqdq` and `sse4.1` features the kernel is compiled for.
+        let state = unsafe { clmul::fold(!0, &bytes[..split]) };
+        return !crc32_slice8_update(state, &bytes[split..]);
+    }
+    crc32_slice8(bytes)
+}
+
+/// Slice-by-8 CRC-32: the portable path, and the tail of the folded one.
+fn crc32_slice8(bytes: &[u8]) -> u32 {
+    !crc32_slice8_update(!0, bytes)
+}
+
+/// Advances the raw (pre-inversion) CRC register `c` over `bytes`, eight
+/// input bytes per table lookup round.
+fn crc32_slice8_update(mut c: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = !0u32;
     let mut chunks = bytes.chunks_exact(8);
     for ch in &mut chunks {
         let lo = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]) ^ c;
@@ -200,7 +224,122 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    !c
+    c
+}
+
+/// Carry-less-multiply CRC-32 folding (Gopal et al., "Fast CRC Computation
+/// for Generic Polynomials Using PCLMULQDQ Instruction", Intel 2009), in
+/// its bit-reflected form for the IEEE polynomial `0xEDB88320`.
+///
+/// Four 128-bit accumulators each fold forward by 512 bits per step; they
+/// then collapse into one, which folds the remaining 16-byte blocks by 128
+/// bits. The last 128 bits reduce to 64, then to 32, and a Barrett
+/// reduction yields the register value.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Shortest input the kernel takes: one block for each of the four
+    /// accumulators.
+    pub(super) const CLMUL_MIN: usize = 64;
+
+    // Folding constants, each `x^n mod P(x)` bit-reflected and shifted
+    // left by one (33 significant bits).
+    /// `x^(4*128+32)` and `x^(4*128-32)`: fold a lane forward by 512 bits.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    /// `x^(128+32)` and `x^(128-32)`: fold forward by 128 bits.
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    /// `x^64`: fold 96 remaining bits down to 64.
+    const K5: i64 = 0x1_63cd_6124;
+    /// The polynomial `P(x)` and the Barrett quotient `floor(x^64 / P(x))`,
+    /// both bit-reflected.
+    const P_X: i64 = 0x1_DB71_0641;
+    const U_PRIME: i64 = 0x1_F701_1641;
+
+    /// Whether this CPU can run [`fold`]. The standard library caches the
+    /// CPUID probe, so this is a couple of relaxed loads per call.
+    pub(super) fn available() -> bool {
+        std::is_x86_feature_detected!("pclmulqdq") && std::is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Advances the raw CRC register `crc` over `data`, whose length must
+    /// be a multiple of 16 and at least [`CLMUL_MIN`].
+    ///
+    /// # Safety
+    /// Callers compiled without these target features call it in an
+    /// `unsafe` block, and must check [`available`] first.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn fold(crc: u32, data: &[u8]) -> u32 {
+        debug_assert!(data.len() >= CLMUL_MIN && data.len().is_multiple_of(16));
+        let (head, body) = data.split_at(CLMUL_MIN);
+
+        // The running register enters as the low 32 bits of the first
+        // block, exactly where the table path XORs it into the input.
+        let mut x0 = _mm_xor_si128(load(&head[0..16]), _mm_cvtsi32_si128(crc as i32));
+        let mut x1 = load(&head[16..32]);
+        let mut x2 = load(&head[32..48]);
+        let mut x3 = load(&head[48..64]);
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        let mut wide = body.chunks_exact(CLMUL_MIN);
+        for ch in &mut wide {
+            x0 = fold_into(x0, load(&ch[0..16]), k1k2);
+            x1 = fold_into(x1, load(&ch[16..32]), k1k2);
+            x2 = fold_into(x2, load(&ch[32..48]), k1k2);
+            x3 = fold_into(x3, load(&ch[48..64]), k1k2);
+        }
+
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold_into(x0, x1, k3k4);
+        x = fold_into(x, x2, k3k4);
+        x = fold_into(x, x3, k3k4);
+        for ch in wide.remainder().chunks_exact(16) {
+            x = fold_into(x, load(ch), k3k4);
+        }
+
+        // 128 -> 96 bits: fold the low half forward onto the high half.
+        let x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        // 96 -> 64 bits.
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett reduction, 64 -> 32 bits: T1 = (R mod x^32) * u,
+        // T2 = (T1 mod x^32) * P, and the remainder is the upper half of
+        // R ^ T2 (the reflected variant keeps the high word).
+        let pu = _mm_set_epi64x(U_PRIME, P_X);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pu, 0x00);
+        _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32
+    }
+
+    /// An unaligned load of the first 16 bytes of `b`.
+    #[inline]
+    fn load(b: &[u8]) -> __m128i {
+        assert!(b.len() >= 16);
+        // SAFETY: `b` has at least 16 readable bytes (asserted above),
+        // and `_mm_loadu_si128` has no alignment requirement.
+        unsafe { _mm_loadu_si128(b.as_ptr().cast::<__m128i>()) }
+    }
+
+    /// One folding step: carries `acc` forward across 128 (or 512) bits
+    /// with the two constants in `k` and XORs in the next block.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold_into(acc: __m128i, next: __m128i, k: __m128i) -> __m128i {
+        _mm_xor_si128(
+            next,
+            _mm_xor_si128(
+                _mm_clmulepi64_si128(acc, k, 0x00),
+                _mm_clmulepi64_si128(acc, k, 0x11),
+            ),
+        )
+    }
 }
 
 /// The original byte-at-a-time CRC-32. Kept as the independent reference
@@ -1026,7 +1165,8 @@ pub fn decode_payload(body: &[u8]) -> Result<PayloadFrame, WireError> {
             what: "payload length vs owned rect",
         });
     }
-    if n as usize * 8 != r.remaining() {
+    // Checked: a wrapped `8 * n` could match a short body.
+    if n.checked_mul(8) != Some(r.remaining() as u64) {
         return Err(WireError::Malformed {
             what: "payload length vs body",
         });
@@ -1044,10 +1184,29 @@ pub fn decode_payload(body: &[u8]) -> Result<PayloadFrame, WireError> {
         // the body bytes — this vector becomes the importer-side shared
         // array, so the socket-to-array path is a single copy.
         let raw = r.raw(n as usize * 8)?;
-        let mut data = vec![0f64; n as usize];
-        for (d, ch) in data.iter_mut().zip(raw.chunks_exact(8)) {
-            *d = f64::from_le_bytes(ch.try_into().expect("8 bytes"));
+        let mut data = Vec::<f64>::with_capacity(n as usize);
+        #[cfg(target_endian = "little")]
+        {
+            // SAFETY: the length check above makes `raw.len()` exactly
+            // `8 * n`, the capacity of `data` in bytes, and a fresh
+            // allocation cannot overlap `raw`. Every bit pattern is a
+            // valid f64, and on little-endian targets the wire bytes are
+            // exactly the in-memory encoding, so after the copy all `n`
+            // elements are initialized.
+            unsafe {
+                std::ptr::copy_nonoverlapping(
+                    raw.as_ptr(),
+                    data.as_mut_ptr().cast::<u8>(),
+                    raw.len(),
+                );
+                data.set_len(n as usize);
+            }
         }
+        #[cfg(not(target_endian = "little"))]
+        data.extend(
+            raw.chunks_exact(8)
+                .map(|ch| f64::from_le_bytes(ch.try_into().expect("8 bytes"))),
+        );
         data
     };
     r.finish()?;
@@ -1071,6 +1230,44 @@ mod tests {
         // The standard IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Deterministic bytes with no short period.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    /// The slice-by-8 fallback, called directly: on a CPU that takes the
+    /// folded path, `crc32` alone would never exercise it past 63 bytes.
+    #[test]
+    fn crc32_slice8_matches_reference() {
+        let bytes = noise(4096 + 15);
+        for len in (0..300).chain([1024, 4095, 4096 + 15]) {
+            for skew in [0, 1, 7] {
+                let b = &bytes[skew.min(len)..len];
+                assert_eq!(crc32_slice8(b), crc32_reference(b), "len {len} skew {skew}");
+            }
+        }
+    }
+
+    /// A real frame-sized input (2 MiB of payload plus an odd-length
+    /// envelope) at several alignments: many 512-bit fold rounds, then a
+    /// 128-bit fold, then a table-driven tail.
+    #[test]
+    fn crc32_two_mib_odd_length_matches_reference() {
+        let bytes = noise((2 << 20) + 97 + 7);
+        for skew in [0, 1, 7] {
+            let b = &bytes[skew..skew + (2 << 20) + 97];
+            assert_eq!(crc32(b), crc32_reference(b), "skew {skew}");
+        }
     }
 
     #[test]
@@ -1226,6 +1423,30 @@ mod tests {
             decode_payload(&got.body),
             Err(WireError::Malformed {
                 what: "payload length vs owned rect"
+            })
+        );
+
+        // A length prefix whose byte count wraps to the real body size is
+        // rejected, not trusted: 8 * (2^61 + 1) wraps to 8.
+        let huge = (1u64 << 61) + 1;
+        let big = WireRect {
+            row0: 0,
+            col0: 0,
+            rows: huge,
+            cols: 1,
+        };
+        let mut w = BodyWriter::new();
+        w.u32(0);
+        w.u32(0);
+        w.u64(0);
+        put_rect(&mut w, big);
+        put_rect(&mut w, big);
+        w.u64(huge);
+        w.f64(1.0);
+        assert_eq!(
+            decode_payload(&w.into_body()),
+            Err(WireError::Malformed {
+                what: "payload length vs body"
             })
         );
     }

@@ -278,9 +278,13 @@ const POOL_CLASSES: usize = 33;
 /// allocation back once the bytes are on the wire — steady-state traffic
 /// stops allocating per frame.
 ///
-/// Classes are powers of two. `put` shelves a buffer under
-/// `floor(log2(capacity))`, `take(cap)` pops from `ceil(log2(cap))`, so a
-/// recycled buffer is always large enough for the request it serves.
+/// Classes are powers of two. `take(cap)` serves the request from class
+/// `ceil(log2(cap))`, and on a miss allocates that class's full capacity
+/// `2^class` rather than `cap`. `put` shelves a buffer under
+/// `floor(log2(capacity))`, so a buffer `take` allocated returns to the
+/// very class it was taken for: a steady stream of same-sized frames
+/// recycles whatever their size, and a recycled buffer is always large
+/// enough for the request it serves.
 pub struct BufPool {
     shelves: Mutex<Vec<Vec<Vec<u8>>>>,
     metrics: Option<Arc<EngineMetrics>>,
@@ -297,7 +301,8 @@ impl BufPool {
     }
 
     /// An empty buffer with capacity at least `cap`: recycled when the
-    /// class has one shelved, freshly allocated otherwise.
+    /// class has one shelved, freshly allocated at the class capacity
+    /// otherwise.
     pub fn take(&self, cap: usize) -> Vec<u8> {
         let class = cap.max(1).next_power_of_two().trailing_zeros() as usize;
         let hit = if class < POOL_CLASSES {
@@ -312,7 +317,15 @@ impl BufPool {
                 m.net_pool_misses.inc();
             }
         }
-        hit.unwrap_or_else(|| Vec::with_capacity(cap))
+        hit.unwrap_or_else(|| {
+            // Round up to the class so `put` files it back under `class`.
+            let alloc = if class < POOL_CLASSES {
+                1 << class
+            } else {
+                cap
+            };
+            Vec::with_capacity(alloc)
+        })
     }
 
     /// Shelves an allocation for reuse (dropped when its class is full).

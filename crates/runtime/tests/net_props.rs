@@ -10,6 +10,7 @@ use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 
 use couplink_metrics::EngineMetrics;
+use couplink_proto::wire::HEADER_LEN;
 use couplink_runtime::net::link::{BufPool, Conn, LinkWriter};
 use proptest::prelude::*;
 
@@ -114,9 +115,10 @@ fn writer_under_load_preserves_stream_and_meters_exactly() {
     assert!(metrics.net_writev_frames.get() <= frames.len() as u64);
 }
 
-/// The pool recycles by power-of-two class: a returned allocation
-/// satisfies any later request that fits its class, and the hit/miss
-/// meters record each outcome.
+/// The pool recycles by power-of-two class: a miss allocates the class
+/// capacity, a returned allocation satisfies any later request that fits
+/// its class, whatever the request's size, and the hit/miss meters record
+/// each outcome.
 #[test]
 fn buf_pool_classes_recycle_and_meter() {
     let metrics = Arc::new(EngineMetrics::new());
@@ -128,9 +130,8 @@ fn buf_pool_classes_recycle_and_meter() {
     assert_eq!(metrics.net_pool_misses.get(), 1);
     assert_eq!(metrics.net_pool_hits.get(), 0);
 
-    // Return it. `put` shelves by floor(log2(capacity)) while `take`
-    // asks by ceil, so only a power-of-two-aligned request is promised
-    // the recycled allocation — and any hit has enough room.
+    // Return it. `put` shelves by floor(log2(capacity)) and `take` asks by
+    // ceil; a power-of-two request's allocation is its own class.
     pool.put(buf);
     let again = pool.take(1024);
     assert_eq!(again.capacity(), 1024, "recycled allocation came back");
@@ -150,4 +151,17 @@ fn buf_pool_classes_recycle_and_meter() {
     let still_miss = pool.take(1);
     assert!(still_miss.capacity() >= 1);
     assert_eq!(metrics.net_pool_misses.get(), 3);
+
+    // A real payload frame is no power of two: 2 MiB of data plus the
+    // header and envelope. The miss allocates the whole class, so the
+    // buffer files back under the class the next same-sized take asks.
+    let frame = (2 << 20) + HEADER_LEN + 96;
+    let buf = pool.take(frame);
+    assert!(buf.capacity() >= frame);
+    assert_eq!(metrics.net_pool_misses.get(), 4);
+    pool.put(buf);
+    let again = pool.take(frame);
+    assert!(again.capacity() >= frame, "recycled buffer fits the frame");
+    assert_eq!(metrics.net_pool_hits.get(), 2, "same-sized frame recycles");
+    assert_eq!(metrics.net_pool_misses.get(), 4);
 }
